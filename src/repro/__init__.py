@@ -50,17 +50,7 @@ from repro.core import (
 from repro.core.interface import WORLD_DEPTH, WORLD_SIZE
 from repro.core.backends import ScalarBackend, resolve_backend
 from repro.core.interface import TraversalBackend
-from repro.core.queries import (
-    PolygonResult,
-    QuerySpec,
-    enclosing_polygon,
-    execute_spec,
-    iter_nearest,
-    nearest_segment,
-    segments_at_other_endpoint,
-    segments_at_point,
-    window_query,
-)
+from repro.core.queries import PolygonResult, QuerySpec, execute_spec, iter_nearest
 from repro.data import (
     COUNTY_NAMES,
     MapData,
@@ -115,16 +105,11 @@ __all__ = [
     "WORLD_SIZE",
     "ScalarBackend",
     "TraversalBackend",
-    "enclosing_polygon",
     "execute_spec",
     "generate_county",
     "generate_map",
     "iter_nearest",
-    "nearest_segment",
     "normalize_segments",
-    "segments_at_other_endpoint",
-    "segments_at_point",
     "resolve_backend",
-    "window_query",
     "__version__",
 ]

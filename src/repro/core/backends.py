@@ -2,9 +2,9 @@
 
 The :class:`~repro.core.interface.TraversalBackend` seam lets the engine
 swap *how* queries traverse an index without changing *what* they
-measure. :class:`ScalarBackend` is the paper's per-entry loop, factored
-out of the historical ad-hoc entry points; :class:`repro.core.vector`
-provides the numpy struct-of-arrays twin. :func:`resolve_backend` picks
+measure. :class:`ScalarBackend` is the paper's per-entry loop;
+:class:`repro.core.vector` provides the numpy struct-of-arrays
+variant. :func:`resolve_backend` picks
 one by name and degrades gracefully -- asking for ``"vector"`` without
 numpy installed yields a scalar backend that reports the fallback in
 ``describe()`` (surfaced by the engine's ``stats`` op).
@@ -64,7 +64,7 @@ class ScalarBackend(TraversalBackend):
 
 
 #: Module-level reference backend for spec execution outside an engine
-#: (the harness, the crash tester, the legacy shims). Stateless, so
+#: (the harness, the crash tester, tests and examples). Stateless, so
 #: sharing one instance across indexes is safe.
 SCALAR_BACKEND = ScalarBackend()
 

@@ -111,7 +111,11 @@ class TraversalBackend(ABC):
         return [self.run(index, spec) for spec in specs]
 
     def invalidate(self) -> None:
-        """Drop any derived node state (call after every index mutation)."""
+        """Drop any derived node state.
+
+        Backends must notice index mutations on their own (callers never
+        have to call this for correctness); it only frees memory.
+        """
 
     def describe(self) -> dict:
         """Stats-endpoint snapshot: name plus backend-specific detail."""

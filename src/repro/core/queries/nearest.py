@@ -19,11 +19,6 @@ from typing import Iterator, Optional, Tuple, Union
 from repro.core.interface import NNQuery, SegmentQuery, SpatialIndex
 from repro.geometry import Point, Segment
 from repro.geometry.distance import segment_segment_distance2
-from repro.obs.explain import (
-    CAUSE_SEGMENT_TABLE,
-    COUNT_CANDIDATES,
-    COUNT_SEGMENT_FETCHES,
-)
 from repro.obs.trace import TRACER
 
 # Heap entry kinds. On distance ties, nodes expand and candidates verify
@@ -72,13 +67,10 @@ def iter_nearest(
                 continue
             resolved.add(ref)
             if prof is not None:
-                prof.count(COUNT_CANDIDATES)
-                with prof.charge(CAUSE_SEGMENT_TABLE, index.ctx.counters) as b:
-                    seg = index.ctx.segments.fetch(ref)
-                b.node_visits += 1
-                prof.count(COUNT_SEGMENT_FETCHES)
-            else:
-                seg = index.ctx.segments.fetch(ref)
+                base = prof.mark(index.ctx.counters)
+            seg = index.ctx.segments.fetch(ref)
+            if prof is not None:
+                prof.verified(index.ctx.counters, base, 1, 1, 0)
             true_d2 = _true_distance2(query, seg)
             heapq.heappush(heap, (true_d2, _VERIFIED, ref, ref))
         else:
@@ -91,29 +83,6 @@ def iter_nearest(
                 )
 
 
-def nearest_segment(
-    index: SpatialIndex, p: Point
-) -> Optional[Tuple[int, float]]:
-    """**Query 3**: the nearest segment to ``p`` (or ``None`` if empty).
-
-    .. deprecated::
-        Thin shim; execute ``QuerySpec.nearest(p, 1)`` through a
-        :class:`~repro.core.interface.TraversalBackend` instead.
-    """
-    import warnings
-
-    warnings.warn(
-        "nearest_segment() is deprecated; execute QuerySpec.nearest() "
-        "through a TraversalBackend",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.core.queries.spec import QuerySpec, execute_spec
-
-    out = execute_spec(index, QuerySpec.nearest(p, 1))
-    return out[0] if out else None
-
-
 def scalar_nearest_segment(
     index: SpatialIndex, p: Point
 ) -> Optional[Tuple[int, float]]:
@@ -121,28 +90,6 @@ def scalar_nearest_segment(
     for seg_id, dist2 in iter_nearest(index, p):
         return seg_id, dist2
     return None
-
-
-def nearest_k_segments(
-    index: SpatialIndex, p: Point, k: int
-) -> "list[Tuple[int, float]]":
-    """The ``k`` nearest segments, by resuming the incremental search.
-
-    .. deprecated::
-        Thin shim; execute ``QuerySpec.nearest(p, k)`` through a
-        :class:`~repro.core.interface.TraversalBackend` instead.
-    """
-    import warnings
-
-    warnings.warn(
-        "nearest_k_segments() is deprecated; execute QuerySpec.nearest() "
-        "through a TraversalBackend",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.core.queries.spec import QuerySpec, execute_spec
-
-    return execute_spec(index, QuerySpec.nearest(p, k))
 
 
 def scalar_nearest_k(

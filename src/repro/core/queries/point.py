@@ -7,45 +7,18 @@ is fetched (the id is stored in the node, so no real implementation would
 fetch a segment twice), then verified against the segment table -- each
 verification is one of the paper's segment comparisons.
 
-The public callables are deprecated shims over
-:class:`~repro.core.queries.spec.QuerySpec`; the scalar implementations
-(``scalar_*``) stay here and are what the reference backend runs.
+Callers execute ``QuerySpec.point``/``incident``/``other_endpoint``
+through a backend; the scalar implementations live here.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Iterable, List, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.core.interface import SpatialIndex
-from repro.core.queries.spec import QuerySpec, execute_spec
+from repro.core.queries.spec import QuerySpec
 from repro.geometry import Point, Segment
-from repro.obs.explain import (
-    CAUSE_SEGMENT_TABLE,
-    COUNT_CANDIDATES,
-    COUNT_DUPLICATES,
-    COUNT_RESULTS,
-    COUNT_SEGMENT_FETCHES,
-)
 from repro.obs.trace import TRACER
-
-
-def incident_segments_with_geometry(
-    index: SpatialIndex, p: Point
-) -> List[Tuple[int, Segment]]:
-    """Segments incident at ``p``, with their fetched geometry.
-
-    .. deprecated::
-        Thin shim; execute ``QuerySpec.incident(p)`` through a
-        :class:`~repro.core.interface.TraversalBackend` instead.
-    """
-    warnings.warn(
-        "incident_segments_with_geometry() is deprecated; execute "
-        "QuerySpec.incident() through a TraversalBackend",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return execute_spec(index, QuerySpec.incident(p))
 
 
 def scalar_incident_segments(
@@ -57,17 +30,17 @@ def scalar_incident_segments(
     the directions of the incident edges, so the fetched geometry is
     returned rather than thrown away.
     """
-    if TRACER.profiling and (prof := TRACER.current_profile()) is not None:
-        return verify_incident_profiled(
-            index, index.candidate_ids_at_point(p), p, prof
-        )
     return verify_incident(index, index.candidate_ids_at_point(p), p)
 
 
 def verify_incident(
-    index: SpatialIndex, candidates: Iterable[int], p: Point
+    index: SpatialIndex, candidates: Sequence[int], p: Point
 ) -> List[Tuple[int, Segment]]:
-    """Dedup/fetch/verify loop shared by both backends."""
+    """Dedup/fetch/verify loop; attributed to the segment table under
+    EXPLAIN."""
+    prof = TRACER.current_profile() if TRACER.profiling else None
+    if prof is not None:
+        base = prof.mark(index.ctx.counters)
     out: List[Tuple[int, Segment]] = []
     seen = set()
     for seg_id in candidates:
@@ -77,63 +50,11 @@ def verify_incident(
         seg = index.ctx.segments.fetch(seg_id)
         if seg.has_endpoint(p):
             out.append((seg_id, seg))
+    if prof is not None:
+        prof.verified(
+            index.ctx.counters, base, len(candidates), len(seen), len(out)
+        )
     return out
-
-
-def verify_incident_profiled(
-    index: SpatialIndex, candidates: Iterable[int], p: Point, prof
-) -> List[Tuple[int, Segment]]:
-    """The same dedup/verify loop, attributing the segment-table fetches."""
-    counters = index.ctx.counters
-    out: List[Tuple[int, Segment]] = []
-    seen = set()
-    for seg_id in candidates:
-        prof.count(COUNT_CANDIDATES)
-        if seg_id in seen:
-            prof.count(COUNT_DUPLICATES)
-            continue
-        seen.add(seg_id)
-        with prof.charge(CAUSE_SEGMENT_TABLE, counters) as bucket:
-            seg = index.ctx.segments.fetch(seg_id)
-        bucket.node_visits += 1
-        prof.count(COUNT_SEGMENT_FETCHES)
-        if seg.has_endpoint(p):
-            out.append((seg_id, seg))
-            prof.count(COUNT_RESULTS)
-    return out
-
-
-def segments_at_point(index: SpatialIndex, p: Point) -> List[int]:
-    """**Query 1**: ids of all segments with an endpoint at ``p``.
-
-    .. deprecated::
-        Thin shim; execute ``QuerySpec.point(p)`` through a backend.
-    """
-    warnings.warn(
-        "segments_at_point() is deprecated; execute QuerySpec.point() "
-        "through a TraversalBackend",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return execute_spec(index, QuerySpec.point(p))
-
-
-def segments_at_other_endpoint(
-    index: SpatialIndex, p: Point, seg_id: int
-) -> Tuple[Point, List[int]]:
-    """**Query 2**: incidences at the other endpoint of a given segment.
-
-    .. deprecated::
-        Thin shim; execute ``QuerySpec.other_endpoint(p, seg_id)``
-        through a backend.
-    """
-    warnings.warn(
-        "segments_at_other_endpoint() is deprecated; execute "
-        "QuerySpec.other_endpoint() through a TraversalBackend",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return execute_spec(index, QuerySpec.other_endpoint(p, seg_id))
 
 
 def other_endpoint_via(index: SpatialIndex, p: Point, seg_id: int, backend):

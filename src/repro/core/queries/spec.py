@@ -1,14 +1,11 @@
 """The query plan object both traversal backends consume.
 
-Historically each of the paper's five queries was its own ad-hoc entry
-point (``window_query``, ``segments_at_point``, ...). With more than one
-traversal backend (the scalar reference path and the vectorized
-``repro.core.vector`` backend) every caller would have to know which
-implementation to dispatch to; instead, a :class:`QuerySpec` names the
-query *plan* -- operation plus arguments -- and :func:`execute_spec`
-hands it to a :class:`~repro.core.interface.TraversalBackend`. The
-legacy callables survive as thin deprecated shims that build a spec
-(``repro-lint`` rule RP06 flags new direct calls that bypass it).
+A :class:`QuerySpec` names the query *plan* -- operation plus
+arguments -- and :func:`execute_spec` hands it to a
+:class:`~repro.core.interface.TraversalBackend` (the scalar reference
+path or the vectorized ``repro.core.vector`` backend). It is the one
+entry point for the paper's five queries, so no caller has to know
+which implementation it is dispatching to.
 
 Cache-key compatibility is part of the contract: ``QuerySpec.cache_key``
 returns exactly the tuples the typed wire requests
@@ -144,9 +141,7 @@ def execute_spec(index, spec: QuerySpec, backend=None):
     """Run ``spec`` against ``index`` through ``backend``.
 
     ``backend`` defaults to the scalar reference backend; pass the
-    engine's resolved backend to pick the vectorized path. This is the
-    single sanctioned entry into query traversal -- the legacy
-    callables all route through here.
+    engine's resolved backend to pick the vectorized path.
     """
     if backend is None:
         from repro.core.backends import SCALAR_BACKEND  # avoid cycle

@@ -1,49 +1,18 @@
 """Query 5: the window (range) query.
 
-The traversal itself now lives behind the backend seam: callers build a
-:class:`~repro.core.queries.spec.QuerySpec` and execute it through a
-:class:`~repro.core.interface.TraversalBackend`. The scalar reference
-implementation -- candidate generation through the index, then the
-dedup/fetch/verify loop -- stays here; the vectorized backend reuses the
-same verify helpers so the two paths stay charge-identical.
+Callers build a :class:`~repro.core.queries.spec.QuerySpec` and execute
+it through a :class:`~repro.core.interface.TraversalBackend`. The scalar
+reference implementation -- candidate generation through the index,
+then the dedup/fetch/verify loop -- lives here.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Iterable, List
+from typing import List, Sequence
 
 from repro.core.interface import SpatialIndex
-from repro.core.queries.spec import QuerySpec, execute_spec
 from repro.geometry import Rect
-from repro.obs.explain import (
-    CAUSE_SEGMENT_TABLE,
-    COUNT_CANDIDATES,
-    COUNT_DUPLICATES,
-    COUNT_RESULTS,
-    COUNT_SEGMENT_FETCHES,
-)
 from repro.obs.trace import TRACER
-
-
-def window_query(
-    index: SpatialIndex, window: Rect, mode: str = "intersects"
-) -> List[int]:
-    """**Query 5**: ids of all segments in the closed window.
-
-    .. deprecated::
-        Thin shim kept for callers of the historical entry point; build
-        ``QuerySpec.window(window, mode)`` and run it through
-        :func:`~repro.core.queries.spec.execute_spec` (or the engine's
-        backend) instead. The cache key is unchanged either way.
-    """
-    warnings.warn(
-        "window_query() is deprecated; execute QuerySpec.window() through "
-        "a TraversalBackend (repro.core.queries.spec.execute_spec)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return execute_spec(index, QuerySpec.window(window, mode))
 
 
 def scalar_window_query(
@@ -65,25 +34,24 @@ def scalar_window_query(
     """
     if mode not in ("intersects", "contains"):
         raise ValueError(f"mode must be 'intersects' or 'contains', got {mode!r}")
-    if TRACER.profiling and (prof := TRACER.current_profile()) is not None:
-        return verify_window_profiled(
-            index, index.candidate_ids_in_rect(window), window, mode, prof
-        )
     return verify_window(
         index, index.candidate_ids_in_rect(window), window, mode
     )
 
 
 def verify_window(
-    index: SpatialIndex, candidates: Iterable[int], window: Rect, mode: str
+    index: SpatialIndex, candidates: Sequence[int], window: Rect, mode: str
 ) -> List[int]:
     """Dedup candidates by id, fetch each once, verify against geometry.
 
-    Shared by both backends: the vectorized path feeds it its own
-    candidate stream in profiling-free runs it replaces only the final
-    geometry predicate with an array pass, keeping the fetch order (and
-    therefore every counter) identical.
+    Under EXPLAIN the pass is attributed to the segment table, with the
+    candidate/duplicate tallies that expose the R+ and PMR duplication
+    (candidates minus unique fetches is the number of extra copies the
+    structure's tiling produced for this window).
     """
+    prof = TRACER.current_profile() if TRACER.profiling else None
+    if prof is not None:
+        base = prof.mark(index.ctx.counters)
     out: List[int] = []
     seen = set()
     for seg_id in candidates:
@@ -97,41 +65,8 @@ def verify_window(
         else:
             if window.contains_point(seg.start) and window.contains_point(seg.end):
                 out.append(seg_id)
-    return out
-
-
-def verify_window_profiled(
-    index: SpatialIndex,
-    candidates: Iterable[int],
-    window: Rect,
-    mode: str,
-    prof,
-) -> List[int]:
-    """The same dedup/verify loop, attributing the segment-table fetches.
-
-    The candidate/duplicate tallies expose the R+ and PMR duplication
-    directly: candidates minus unique fetches is the number of extra
-    copies the structure's tiling produced for this window.
-    """
-    counters = index.ctx.counters
-    out: List[int] = []
-    seen = set()
-    for seg_id in candidates:
-        prof.count(COUNT_CANDIDATES)
-        if seg_id in seen:
-            prof.count(COUNT_DUPLICATES)
-            continue
-        seen.add(seg_id)
-        with prof.charge(CAUSE_SEGMENT_TABLE, counters) as bucket:
-            seg = index.ctx.segments.fetch(seg_id)
-        bucket.node_visits += 1
-        prof.count(COUNT_SEGMENT_FETCHES)
-        if mode == "intersects":
-            if seg.intersects_rect(window):
-                out.append(seg_id)
-                prof.count(COUNT_RESULTS)
-        else:
-            if window.contains_point(seg.start) and window.contains_point(seg.end):
-                out.append(seg_id)
-                prof.count(COUNT_RESULTS)
+    if prof is not None:
+        prof.verified(
+            index.ctx.counters, base, len(candidates), len(seen), len(out)
+        )
     return out

@@ -12,11 +12,12 @@ The parity contract (see :class:`~repro.core.interface.TraversalBackend`)
 is strict: counters must match the scalar path **to the unit**. That
 shapes everything here:
 
-* Single-query traversal keeps the exact scalar LIFO descent -- one
-  ``pool.get`` per node, ``bbox_comps += len(node.entries)`` per visit,
-  matched children pushed in entry order -- so disk reads, buffer hits
-  and comparison counts are bit-identical; only the per-entry predicate
-  is replaced by a mask.
+* Single-query window traversal *is* the scalar search: the vector
+  backend hands :func:`~repro.core.traversal.tree_search` a per-node
+  match function that masks the node's mirror block, so the descent,
+  its charges and its EXPLAIN attribution are the scalar loop's own.
+  Point and incidence lookups run on the scalar path outright: one or
+  two nodes per level is too little work for a mask to pay for.
 * Verification fetches each unique candidate through
   ``ctx.segments.fetch`` in the same order as the scalar verify loop
   (identical ``segment_comps``), then applies the geometry predicate in
@@ -29,11 +30,11 @@ shapes everything here:
   order afterwards. Per-query ``bbox_comps``/``segment_comps`` and
   result lists stay exact; total disk accesses can only shrink.
 
-Mirrors are derived state. Blocks carry an ``(id(entries), len)``
-freshness key that catches list replacement, but in-place entry updates
-(e.g. a parent MBR adjustment) do not change either -- so every index
-mutation must be followed by :meth:`VectorBackend.invalidate`, which the
-query engine does from all of its write paths.
+Mirrors are derived state, held per index (weakly, so a collected
+index's mirrors go with it) together with the buffer pool's mutation
+``epoch`` at build time. Every page mutation bumps the epoch, so each
+query compares it once and drops the index's mirrors when anything
+changed -- callers never need to invalidate by hand.
 
 The module imports without numpy (``HAVE_NUMPY`` is then false);
 :func:`repro.core.backends.resolve_backend` degrades to the scalar
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from typing import Any, Dict, List, Optional, Tuple
+from weakref import WeakKeyDictionary
 
 try:  # pragma: no cover - exercised by the numpy-absent CI leg
     import numpy as np
@@ -53,23 +55,13 @@ except ImportError:  # pragma: no cover
     np = None
     HAVE_NUMPY = False
 
+from repro.core.backends import SCALAR_BACKEND
 from repro.core.interface import SpatialIndex, TraversalBackend
 from repro.core.pmr.pmr import PMRQuadtree
-from repro.core.queries.nearest import scalar_nearest_k
-from repro.core.queries.point import (
-    other_endpoint_via,
-    scalar_incident_segments,
-    verify_incident_profiled,
-)
-from repro.core.queries.polygon import walk_enclosing_polygon
-from repro.core.queries.spec import QuerySpec
-from repro.core.queries.window import (
-    scalar_window_query,
-    verify_window_profiled,
-)
-from repro.core.rplus.rplus import RPlusTree
-from repro.core.rtree.rtree import GuttmanRTree
-from repro.geometry import Point, Rect
+from repro.core.queries.spec import WINDOW_MODES, QuerySpec
+from repro.core.queries.window import scalar_window_query
+from repro.core.traversal import NodeMatch, TreeIndex, tree_search
+from repro.geometry import Rect
 from repro.obs.trace import TRACER
 
 
@@ -164,13 +156,6 @@ def _segments_in_rect(arr, rect: Rect):
     )
 
 
-def _segments_have_endpoint(arr, p: Point):
-    """Array twin of ``Segment.has_endpoint`` (exact float equality)."""
-    return ((arr[:, 0] == p.x) & (arr[:, 1] == p.y)) | (
-        (arr[:, 2] == p.x) & (arr[:, 3] == p.y)
-    )
-
-
 def _unique_first_seen(candidates):
     """Candidate ids deduplicated in first-seen order, as an int array.
 
@@ -194,10 +179,9 @@ def _unique_first_seen(candidates):
 class _NodeBlock:
     """One R/R*/R+ node's entries, columnar."""
 
-    __slots__ = ("key", "xmin", "ymin", "xmax", "ymax", "refs")
+    __slots__ = ("xmin", "ymin", "xmax", "ymax", "refs")
 
     def __init__(self, entries) -> None:
-        self.key = (id(entries), len(entries))
         if entries:
             rects = np.array([e[0] for e in entries], dtype=np.float64)
             self.xmin = rects[:, 0]
@@ -218,14 +202,6 @@ class _NodeBlock:
             & (rect.ymin <= self.ymax)
         )
 
-    def point_mask(self, p: Point):
-        return (
-            (self.xmin <= p.x)
-            & (p.x <= self.xmax)
-            & (self.ymin <= p.y)
-            & (p.y <= self.ymax)
-        )
-
 
 class _TreeMirror:
     """Page-id keyed cache of :class:`_NodeBlock` for one tree index."""
@@ -236,13 +212,25 @@ class _TreeMirror:
         self.blocks: Dict[int, _NodeBlock] = {}
 
     def block(self, page_id: int, node) -> _NodeBlock:
-        entries = node.entries
         blk = self.blocks.get(page_id)
-        if blk is not None and blk.key == (id(entries), len(entries)):
-            return blk
-        blk = _NodeBlock(entries)
-        self.blocks[page_id] = blk
+        if blk is None:
+            blk = self.blocks[page_id] = _NodeBlock(node.entries)
         return blk
+
+    def window_match(self, rect: Rect) -> NodeMatch:
+        """The :func:`~repro.core.traversal.tree_search` match function
+        for a window: one mask over the node's mirror block."""
+        blocks = self.blocks
+
+        def match(page_id: int, node) -> List[int]:
+            blk = blocks.get(page_id)
+            if blk is None:
+                blk = blocks[page_id] = _NodeBlock(node.entries)
+            if not blk.refs.size:
+                return []
+            return blk.refs[blk.window_mask(rect)].tolist()
+
+        return match
 
 
 class _BTreeMirror:
@@ -329,10 +317,9 @@ class _PMRMirror:
     """
 
     __slots__ = ("xmin", "ymin", "xmax", "ymax", "lo", "hi", "lo_arr",
-                 "hi_arr", "entry_count", "bt")
+                 "hi_arr", "bt")
 
     def __init__(self, index: "PMRQuadtree") -> None:
-        self.entry_count = len(index.btree)
         self.bt = _BTreeMirror(index) if 2 * index.max_depth <= 62 else None
         los: List[int] = []
         his: List[int] = []
@@ -361,6 +348,42 @@ class _PMRMirror:
         self.ymin = arr[:, 1]
         self.xmax = arr[:, 2]
         self.ymax = arr[:, 3]
+
+
+class _IndexMirrors:
+    """Everything the backend derived from one index, valid while the
+    index's buffer pool stays at ``epoch``; each part is built on first
+    use."""
+
+    __slots__ = ("epoch", "tree", "_pmr", "_segs")
+
+    def __init__(self, epoch: int) -> None:
+        self.epoch = epoch
+        self.tree = _TreeMirror()
+        self._pmr: Optional[_PMRMirror] = None
+        self._segs: Optional[Tuple[int, Any, Any]] = None
+
+    def pmr(self, index: "PMRQuadtree") -> _PMRMirror:
+        if self._pmr is None:
+            self._pmr = _PMRMirror(index)
+        return self._pmr
+
+    def segs(self, index: SpatialIndex) -> Tuple[int, Any, Any]:
+        """Columnar copy of the segment table plus its page map:
+        ``(n, (n, 4) coords, page-id array)``, built with ``peek`` (no
+        counters touched)."""
+        if self._segs is None:
+            table = index.ctx.segments
+            n = len(table)
+            if n:
+                coords = np.array(
+                    [table.peek(i) for i in range(n)], dtype=np.float64
+                )
+            else:
+                coords = np.empty((0, 4), dtype=np.float64)
+            pages = np.asarray(table.page_ids, dtype=np.int64)
+            self._segs = (n, coords, pages)
+        return self._segs
 
 
 class _MaxKey:
@@ -424,32 +447,37 @@ class VectorBackend(TraversalBackend):
                 "or use resolve_backend('vector') for graceful fallback"
             )
         self.requested = "vector"
-        self._tree_mirrors: Dict[int, _TreeMirror] = {}
-        self._pmr_mirrors: Dict[int, _PMRMirror] = {}
-        # id(index) -> (segment count, (n, 4) coords, page-id array)
-        self._seg_mirrors: Dict[int, Tuple[int, Any, Any]] = {}
+        self._mirrors: "WeakKeyDictionary[SpatialIndex, _IndexMirrors]" = (
+            WeakKeyDictionary()
+        )
 
     # -- plumbing ------------------------------------------------------
     def invalidate(self) -> None:
-        self._tree_mirrors.clear()
-        self._pmr_mirrors.clear()
-        self._seg_mirrors.clear()
+        self._mirrors.clear()
 
     def describe(self) -> dict:
+        mirrors = list(self._mirrors.values())
         return {
             "name": self.name,
             "requested": self.requested,
             "numpy": np.__version__,
-            "mirror_nodes": sum(
-                len(m.blocks) for m in self._tree_mirrors.values()
-            ),
+            "mirror_nodes": sum(len(m.tree.blocks) for m in mirrors),
             "mirror_pmr_leaves": sum(
-                len(m.lo) for m in self._pmr_mirrors.values()
+                len(m._pmr.lo) for m in mirrors if m._pmr is not None
             ),
             "mirror_segments": sum(
-                m[0] for m in self._seg_mirrors.values()
+                m._segs[0] for m in mirrors if m._segs is not None
             ),
         }
+
+    def _index_mirrors(self, index: SpatialIndex) -> _IndexMirrors:
+        """The index's mirrors, dropped first if its pool has seen a
+        page mutation since they were built. Called once per query."""
+        epoch = index.ctx.pool.epoch
+        mirrors = self._mirrors.get(index)
+        if mirrors is None or mirrors.epoch != epoch:
+            mirrors = self._mirrors[index] = _IndexMirrors(epoch)
+        return mirrors
 
     @staticmethod
     def _tree_vectorizable(index: SpatialIndex) -> bool:
@@ -460,17 +488,10 @@ class VectorBackend(TraversalBackend):
         the scalar path instead of risking silent divergence.
         """
         cls = type(index)
-        return isinstance(index, (GuttmanRTree, RPlusTree)) and (
-            cls.candidate_ids_in_rect
-            in (
-                GuttmanRTree.candidate_ids_in_rect,
-                RPlusTree.candidate_ids_in_rect,
-            )
-            and cls.candidate_ids_at_point
-            in (
-                GuttmanRTree.candidate_ids_at_point,
-                RPlusTree.candidate_ids_at_point,
-            )
+        return (
+            isinstance(index, TreeIndex)
+            and cls.candidate_ids_in_rect is TreeIndex.candidate_ids_in_rect
+            and cls.candidate_ids_at_point is TreeIndex.candidate_ids_at_point
         )
 
     @staticmethod
@@ -481,46 +502,13 @@ class VectorBackend(TraversalBackend):
             is PMRQuadtree.candidate_ids_in_rect
         )
 
-    def _tree_mirror(self, index: SpatialIndex) -> _TreeMirror:
-        mirror = self._tree_mirrors.get(id(index))
-        if mirror is None:
-            mirror = _TreeMirror()
-            self._tree_mirrors[id(index)] = mirror
-        return mirror
-
-    def _pmr_mirror(self, index: "PMRQuadtree") -> _PMRMirror:
-        mirror = self._pmr_mirrors.get(id(index))
-        if mirror is None or mirror.entry_count != len(index.btree):
-            mirror = _PMRMirror(index)
-            self._pmr_mirrors[id(index)] = mirror
-        return mirror
-
-    def _seg_mirror(self, index: SpatialIndex):
-        """Columnar copy of the segment table plus its page map.
-
-        Built with ``peek`` (no counters touched); sound to cache on the
-        table length because the table is append-only -- deletes
-        unindex, they never rewrite rows.
-        """
-        key = id(index)
-        table = index.ctx.segments
-        mirror = self._seg_mirrors.get(key)
-        if mirror is None or mirror[0] != len(table):
-            n = len(table)
-            if n:
-                coords = np.array(
-                    [table.peek(i) for i in range(n)], dtype=np.float64
-                )
-            else:
-                coords = np.empty((0, 4), dtype=np.float64)
-            pages = np.asarray(table.page_ids, dtype=np.int64)
-            mirror = (n, coords, pages)
-            self._seg_mirrors[key] = mirror
-        return mirror
-
     # -- verification --------------------------------------------------
     def _charge_and_rows(
-        self, index: SpatialIndex, uniq_list, page_major: bool = False
+        self,
+        index: SpatialIndex,
+        mirrors: _IndexMirrors,
+        uniq_list,
+        page_major: bool = False,
     ):
         """Charge the scalar verify's storage traffic; return coord rows.
 
@@ -543,7 +531,7 @@ class VectorBackend(TraversalBackend):
         total = sum(int(u.size) for u in uniq_list)
         if total == 0:
             return None
-        _, coords, pages = self._seg_mirror(index)
+        _, coords, pages = mirrors.segs(index)
         all_ids = (
             uniq_list[0]
             if len(uniq_list) == 1
@@ -569,41 +557,45 @@ class VectorBackend(TraversalBackend):
         return coords[all_ids]
 
     def _verify_window(
-        self, index: SpatialIndex, candidates, window: Rect, mode: str
+        self,
+        index: SpatialIndex,
+        mirrors: _IndexMirrors,
+        candidates,
+        window: Rect,
+        mode: str,
+        prof,
     ) -> List[int]:
-        """Vectorized twin of :func:`repro.core.queries.window.verify_window`."""
+        """Vectorized :func:`repro.core.queries.window.verify_window`,
+        with the same EXPLAIN attribution."""
+        if prof is not None:
+            base = prof.mark(index.ctx.counters)
         uniq = _unique_first_seen(candidates)
-        rows = self._charge_and_rows(index, [uniq])
+        rows = self._charge_and_rows(index, mirrors, [uniq])
         if rows is None:
-            return []
-        if mode == "intersects":
-            keep = _segments_meet_rect(rows, window)
+            out: List[int] = []
+        elif mode == "intersects":
+            out = uniq[_segments_meet_rect(rows, window)].tolist()
         else:
-            keep = _segments_in_rect(rows, window)
-        return uniq[keep].tolist()
-
-    def _verify_incident(self, index: SpatialIndex, candidates, p: Point):
-        """Vectorized twin of :func:`repro.core.queries.point.verify_incident`.
-
-        The returned pairs materialize their segments with ``peek``: the
-        fetch charges were already paid for every candidate above.
-        """
-        uniq = _unique_first_seen(candidates)
-        rows = self._charge_and_rows(index, [uniq])
-        if rows is None:
-            return []
-        keep = _segments_have_endpoint(rows, p)
-        table = index.ctx.segments
-        return [(sid, table.peek(sid)) for sid in uniq[keep].tolist()]
+            out = uniq[_segments_in_rect(rows, window)].tolist()
+        if prof is not None:
+            prof.verified(
+                index.ctx.counters, base, len(candidates), int(uniq.size), len(out)
+            )
+        return out
 
     def _verify_windows_batch(
-        self, index: SpatialIndex, cands_list, windows, mode: str
+        self,
+        index: SpatialIndex,
+        mirrors: _IndexMirrors,
+        cands_list,
+        windows,
+        mode: str,
     ) -> List[List[int]]:
         """Batched :meth:`_verify_window`: one predicate pass, per-row
         window bounds, so each per-query keep decision is identical to
         the single-query verify."""
         uniq_list = [_unique_first_seen(c) for c in cands_list]
-        rows = self._charge_and_rows(index, uniq_list, page_major=True)
+        rows = self._charge_and_rows(index, mirrors, uniq_list, page_major=True)
         if rows is None:
             return [[] for _ in cands_list]
         reps = np.array([u.size for u in uniq_list], dtype=np.intp)
@@ -623,11 +615,12 @@ class VectorBackend(TraversalBackend):
         return out
 
     def _verify_incidents_batch(
-        self, index: SpatialIndex, cands_list, points
+        self, index: SpatialIndex, mirrors: _IndexMirrors, cands_list, points
     ):
-        """Batched :meth:`_verify_incident` (per-row query points)."""
+        """Batched :func:`repro.core.queries.point.verify_incident`
+        (per-row query points)."""
         uniq_list = [_unique_first_seen(c) for c in cands_list]
-        rows = self._charge_and_rows(index, uniq_list, page_major=True)
+        rows = self._charge_and_rows(index, mirrors, uniq_list, page_major=True)
         if rows is None:
             return [[] for _ in cands_list]
         reps = np.array([u.size for u in uniq_list], dtype=np.intp)
@@ -647,26 +640,15 @@ class VectorBackend(TraversalBackend):
 
     # -- spec dispatch -------------------------------------------------
     def run(self, index: SpatialIndex, spec: QuerySpec):
-        op = spec.op
-        if op == "window":
+        if spec.op == "window":
             return self._window(index, spec.to_rect(), spec.mode)
-        if op == "point":
-            return [sid for sid, _ in self._incident(index, spec.to_point())]
-        if op == "incident":
-            return self._incident(index, spec.to_point())
-        if op == "nearest":
-            # Best-first search is dominated by heap-ordered node
-            # expansions and per-candidate distance fetches that must
-            # stay charge-identical; both backends share the scalar
-            # incremental algorithm.
-            return scalar_nearest_k(index, spec.to_point(), spec.k)
-        if op == "other_endpoint":
-            return other_endpoint_via(index, spec.to_point(), spec.seg_id, self)
-        if op == "polygon":
-            return walk_enclosing_polygon(
-                index, spec.to_point(), spec.max_steps, self
-            )
-        raise ValueError(f"unknown spec op {spec.op!r}")
+        # Point and incidence lookups visit one or two nodes per level,
+        # too little work for a mask to pay for (they measured slower
+        # than the scalar loop); nearest-neighbour search is dominated
+        # by heap-ordered expansions and per-candidate fetches that must
+        # stay charge-identical. Both run on the scalar path, as do the
+        # polygon walk and query 2, which are built from them.
+        return SCALAR_BACKEND.run(index, spec)
 
     # -- single-query traversal ----------------------------------------
     def _window(self, index: SpatialIndex, window: Rect, mode: str):
@@ -676,103 +658,24 @@ class VectorBackend(TraversalBackend):
             )
         prof = TRACER.current_profile() if TRACER.profiling else None
         if self._tree_vectorizable(index):
-            if prof is not None:
-                candidates = self._profiled_tree_candidates(
-                    index, prof, "window", window
-                )
-                return verify_window_profiled(
-                    index, candidates, window, mode, prof
-                )
-            candidates = self._tree_candidates(index, "window", window)
-            return self._verify_window(index, candidates, window, mode)
+            mirrors = self._index_mirrors(index)
+            candidates = tree_search(index, mirrors.tree.window_match(window), prof)
+            return self._verify_window(
+                index, mirrors, candidates, window, mode, prof
+            )
         if prof is None and self._pmr_vectorizable(index):
-            candidates = self._pmr_rect_candidates(index, window)
-            return self._verify_window(index, candidates, window, mode)
-        # Profiled PMR windows and unsupported structures: the scalar
-        # path is the reference and already attributes every charge.
+            mirrors = self._index_mirrors(index)
+            candidates = self._pmr_rect_candidates(index, mirrors, window)
+            return self._verify_window(
+                index, mirrors, candidates, window, mode, None
+            )
+        # Explained PMR windows (the mirror cannot tell decomposition
+        # depths apart) and unsupported structures: the scalar path.
         return scalar_window_query(index, window, mode)
 
-    def _incident(self, index: SpatialIndex, p: Point):
-        prof = TRACER.current_profile() if TRACER.profiling else None
-        if self._tree_vectorizable(index):
-            if prof is not None:
-                candidates = self._profiled_tree_candidates(
-                    index, prof, "point", p
-                )
-                return verify_incident_profiled(index, candidates, p, prof)
-            candidates = self._tree_candidates(index, "point", p)
-            return self._verify_incident(index, candidates, p)
-        # The PMR point search is a single in-memory descent plus one
-        # B-tree scan; there is no per-entry loop to vectorize.
-        return scalar_incident_segments(index, p)
-
-    def _tree_candidates(self, index: SpatialIndex, kind: str, query):
-        """Scalar DFS with a vectorized per-node predicate.
-
-        Same ``pool.get`` order, same ``bbox_comps`` charges, matched
-        refs extracted in entry order -- counters and candidate order
-        are identical to ``candidate_ids_at_point``/``_in_rect``.
-        """
-        pool = index.ctx.pool
-        counters = index.ctx.counters
-        mirror = self._tree_mirror(index)
-        out: List[int] = []
-        stack = [index._root_id]
-        while stack:
-            page_id = stack.pop()
-            node = pool.get(page_id)
-            counters.bbox_comps += len(node.entries)
-            blk = mirror.block(page_id, node)
-            if blk.refs.size:
-                mask = (
-                    blk.window_mask(query)
-                    if kind == "window"
-                    else blk.point_mask(query)
-                )
-                matched = blk.refs[mask].tolist()
-            else:
-                matched = []
-            if node.is_leaf:
-                out.extend(matched)
-            else:
-                stack.extend(matched)
-        return out
-
-    def _profiled_tree_candidates(
-        self, index: SpatialIndex, prof, kind: str, query
+    def _pmr_rect_candidates(
+        self, index: "PMRQuadtree", mirrors: _IndexMirrors, rect: Rect
     ):
-        """Vector twin of :func:`repro.core.profiled.profiled_tree_search`."""
-        pool = index.ctx.pool
-        counters = index.ctx.counters
-        mirror = self._tree_mirror(index)
-        out: List[int] = []
-        stack: List[Tuple[int, int]] = [(index._root_id, 0)]
-        while stack:
-            page_id, depth = stack.pop()
-            with prof.charge_level(depth, counters) as bucket:
-                node = pool.get(page_id)
-                counters.bbox_comps += len(node.entries)
-                blk = mirror.block(page_id, node)
-                if blk.refs.size:
-                    mask = (
-                        blk.window_mask(query)
-                        if kind == "window"
-                        else blk.point_mask(query)
-                    )
-                    matched = blk.refs[mask].tolist()
-                else:
-                    matched = []
-                bucket.node_visits += 1
-                bucket.entries_examined += len(node.entries)
-                bucket.entries_matched += len(matched)
-                bucket.entries_pruned += len(node.entries) - len(matched)
-            if node.is_leaf:
-                out.extend(matched)
-            else:
-                stack.extend((ref, depth + 1) for ref in matched)
-        return out
-
-    def _pmr_rect_candidates(self, index: "PMRQuadtree", rect: Rect):
         """Window decomposition over the leaf mirror.
 
         One mask replaces the recursive directory walk; the interval
@@ -780,7 +683,7 @@ class VectorBackend(TraversalBackend):
         runs and the per-run B-tree scans match the scalar
         ``candidate_ids_in_rect`` exactly.
         """
-        mirror = self._pmr_mirror(index)
+        mirror = mirrors.pmr(index)
         mask = (
             (mirror.xmin <= rect.xmax)
             & (rect.xmin <= mirror.xmax)
@@ -914,10 +817,14 @@ class VectorBackend(TraversalBackend):
         specs = list(specs)
         results: List[Any] = [None] * len(specs)
         fused: set = set()
-        if not TRACER.profiling and self._tree_vectorizable(index):
-            # One fused descent per mode group: every member of a group
-            # shares one candidate sweep and one batched verify pass.
-            for mode in ("intersects", "contains"):
+        tree = self._tree_vectorizable(index)
+        if not TRACER.profiling and (tree or self._pmr_vectorizable(index)):
+            mirrors = self._index_mirrors(index)
+            # One candidate sweep and one batched verify pass per mode
+            # group. Trees fuse the descent itself; the PMR has no shared
+            # descent to fuse (each window charges its own decomposition
+            # and scans), so only its verify pass batches.
+            for mode in WINDOW_MODES:
                 window_ix = [
                     i
                     for i, s in enumerate(specs)
@@ -926,26 +833,36 @@ class VectorBackend(TraversalBackend):
                 if len(window_ix) <= 1:
                     continue
                 rects = [specs[i].to_rect() for i in window_ix]
-                cands_list = self._fused_tree_candidates(
-                    index, "window", rects
-                )
+                if tree:
+                    cands_list = self._fused_tree_candidates(
+                        index, mirrors, "window", rects
+                    )
+                else:
+                    cands_list = [
+                        self._pmr_rect_candidates(index, mirrors, r)
+                        for r in rects
+                    ]
                 for i, found in zip(
                     window_ix,
-                    self._verify_windows_batch(index, cands_list, rects, mode),
+                    self._verify_windows_batch(
+                        index, mirrors, cands_list, rects, mode
+                    ),
                 ):
                     results[i] = found
                 fused.update(window_ix)
             point_ix = [
                 i for i, s in enumerate(specs) if s.op in ("point", "incident")
             ]
-            if len(point_ix) > 1:
+            if tree and len(point_ix) > 1:
                 points = [specs[i].to_point() for i in point_ix]
                 cands_list = self._fused_tree_candidates(
-                    index, "point", points
+                    index, mirrors, "point", points
                 )
                 for i, pairs in zip(
                     point_ix,
-                    self._verify_incidents_batch(index, cands_list, points),
+                    self._verify_incidents_batch(
+                        index, mirrors, cands_list, points
+                    ),
                 ):
                     results[i] = (
                         pairs
@@ -953,35 +870,13 @@ class VectorBackend(TraversalBackend):
                         else [sid for sid, _ in pairs]
                     )
                 fused.update(point_ix)
-        elif not TRACER.profiling and self._pmr_vectorizable(index):
-            # PMR has no shared descent to fuse (each window charges its
-            # own decomposition + scans), but the verify pass batches:
-            # group same-mode windows behind one predicate sweep.
-            for mode in ("intersects", "contains"):
-                window_ix = [
-                    i
-                    for i, s in enumerate(specs)
-                    if s.op == "window" and s.mode == mode
-                ]
-                if len(window_ix) <= 1:
-                    continue
-                rects = [specs[i].to_rect() for i in window_ix]
-                cands_list = [
-                    self._pmr_rect_candidates(index, r) for r in rects
-                ]
-                for i, found in zip(
-                    window_ix,
-                    self._verify_windows_batch(index, cands_list, rects, mode),
-                ):
-                    results[i] = found
-                fused.update(window_ix)
         for i, spec in enumerate(specs):
             if i not in fused:
                 results[i] = self.run(index, spec)
         return results
 
     def _fused_tree_candidates(
-        self, index: SpatialIndex, kind: str, queries
+        self, index: SpatialIndex, mirrors: _IndexMirrors, kind: str, queries
     ) -> List[List[int]]:
         """One node-major descent for a whole query batch.
 
@@ -994,7 +889,7 @@ class VectorBackend(TraversalBackend):
         """
         pool = index.ctx.pool
         counters = index.ctx.counters
-        mirror = self._tree_mirror(index)
+        mirror = mirrors.tree
         n = len(queries)
         # One (4, n) bounds matrix: row order lo-x, lo-y, hi-x, hi-y.
         # A point is the degenerate window [p, p].

@@ -11,17 +11,18 @@ how much of the bill was the segment table verifying geometry.
 Mechanics: the engine builds a profile, attaches it to the executing
 thread through the tracer's span context
 (:meth:`repro.obs.trace.Tracer.attach_profile`), and runs the query.
-Each core traversal call site checks ``TRACER.profiling`` (one attribute
-load when off) and, when a profile is attached, routes through a
-profiled variant that performs *the same pool traffic and counter
-charges in the same order* but brackets each unit of work in a
-:meth:`ExplainProfile.charge_level` / :meth:`ExplainProfile.charge`
-delta window. A window snapshots the live scratch counters on entry and
-adds the deltas to its bucket on exit -- so summing every bucket of the
-profile reproduces the engine's aggregate counters for the query
-*exactly*, by construction (the ``exact`` field of the explain report;
-the test suite asserts it over fixed-seed workloads on all three
-structures).
+Every traversal has exactly one loop, and an explained query runs the
+same loop as a plain one: the loop fetches the profile once
+(``TRACER.profiling`` is one attribute load when off), and when there is
+one it takes a :meth:`ExplainProfile.mark` of the live scratch counters
+before a unit of work and hands the movement after it to
+:meth:`~ExplainProfile.visit` (a tree level),
+:meth:`~ExplainProfile.charge` (a cause) or
+:meth:`~ExplainProfile.verified` (the segment-table pass). So summing
+every bucket of the profile reproduces the engine's aggregate
+counters for the query *exactly*, by construction (the ``exact`` field
+of the explain report; the test suite asserts it over fixed-seed
+workloads on all three structures).
 
 The profile object itself never mutates any ``MetricsCounters`` (it only
 reads them), keeping lint rule RP03's ownership story intact: counters
@@ -30,7 +31,7 @@ are still charged only by storage and core code.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.metric_names import (
     BBOX_COMPS,
@@ -91,40 +92,6 @@ class Bucket:
         return out
 
 
-class _ChargeWindow:
-    """Context manager adding the counter movement inside it to a bucket.
-
-    Reads the *live* counters object it was handed (under the engine's
-    attribution this is the per-query scratch set), so nesting windows
-    would double-charge -- call sites keep them flat.
-    """
-
-    __slots__ = ("_bucket", "_counters", "_base")
-
-    def __init__(self, bucket: Bucket, counters) -> None:
-        self._bucket = bucket
-        self._counters = counters
-
-    def __enter__(self) -> Bucket:
-        c = self._counters
-        self._base = (
-            c.disk_reads,
-            c.disk_writes,
-            c.buffer_hits,
-            c.segment_comps,
-            c.bbox_comps,
-        )
-        return self._bucket
-
-    def __exit__(self, *exc) -> None:
-        c, base, b = self._counters, self._base, self._bucket
-        b.disk_reads += c.disk_reads - base[0]
-        b.disk_writes += c.disk_writes - base[1]
-        b.buffer_hits += c.buffer_hits - base[2]
-        b.segment_comps += c.segment_comps - base[3]
-        b.bbox_comps += c.bbox_comps - base[4]
-
-
 class ExplainProfile:
     """Per-level and per-cause attribution for one explained query.
 
@@ -137,12 +104,12 @@ class ExplainProfile:
         self.levels: Dict[int, Bucket] = {}
         self.causes: Dict[str, Bucket] = {}
         self.counts: Dict[str, int] = {}
-        #: Node ref -> tree level, maintained by the profiled nearest-
-        #: neighbour expansions so heap-ordered visits still attribute to
-        #: the right level (root = 0).
+        #: Node ref -> tree level, maintained by the nearest-neighbour
+        #: expansions so heap-ordered visits still attribute to the
+        #: right level (root = 0).
         self._node_levels: Dict[Any, int] = {}
 
-    # -- attribution windows -------------------------------------------
+    # -- attribution ---------------------------------------------------
     def level(self, depth: int) -> Bucket:
         bucket = self.levels.get(depth)
         if bucket is None:
@@ -155,13 +122,70 @@ class ExplainProfile:
             bucket = self.causes[name] = Bucket()
         return bucket
 
-    def charge_level(self, depth: int, counters) -> _ChargeWindow:
-        """Window attributing counter movement to tree level ``depth``."""
-        return _ChargeWindow(self.level(depth), counters)
+    @staticmethod
+    def mark(counters) -> Tuple[int, int, int, int, int]:
+        """Snapshot the live counters before a unit of work; pass the
+        mark to :meth:`charge`, :meth:`visit` or :meth:`verified` after
+        it to attribute the movement in between."""
+        return (
+            counters.disk_reads,
+            counters.disk_writes,
+            counters.buffer_hits,
+            counters.segment_comps,
+            counters.bbox_comps,
+        )
 
-    def charge(self, cause: str, counters) -> _ChargeWindow:
-        """Window attributing counter movement to a named cause."""
-        return _ChargeWindow(self.cause(cause), counters)
+    @staticmethod
+    def _add_since(bucket: Bucket, counters, base) -> Bucket:
+        bucket.disk_reads += counters.disk_reads - base[0]
+        bucket.disk_writes += counters.disk_writes - base[1]
+        bucket.buffer_hits += counters.buffer_hits - base[2]
+        bucket.segment_comps += counters.segment_comps - base[3]
+        bucket.bbox_comps += counters.bbox_comps - base[4]
+        return bucket
+
+    def charge(self, cause: str, counters, base) -> Bucket:
+        """Attribute the counter movement since ``base`` to ``cause``."""
+        return self._add_since(self.cause(cause), counters, base)
+
+    def visit(
+        self,
+        depth: int,
+        counters,
+        base,
+        examined: int,
+        matched: int,
+        visits: int = 1,
+    ) -> None:
+        """Attribute the movement since ``base`` to tree level ``depth``
+        as ``visits`` node visits that examined ``examined`` entries and
+        kept ``matched`` of them."""
+        bucket = self._add_since(self.level(depth), counters, base)
+        bucket.node_visits += visits
+        bucket.entries_examined += examined
+        bucket.entries_matched += matched
+        bucket.entries_pruned += examined - matched
+
+    def verified(
+        self, counters, base, candidates: int, fetched: int, results: int
+    ) -> None:
+        """Attribute one dedup/fetch/verify pass to the segment table.
+
+        ``candidates`` ids came in, ``fetched`` unique ones were fetched
+        (the movement since ``base``) and ``results`` passed the check;
+        the difference of the first two is the duplication the R+ and
+        PMR tilings produced.
+        """
+        if fetched:
+            self.charge(CAUSE_SEGMENT_TABLE, counters, base).node_visits += fetched
+        for name, n in (
+            (COUNT_CANDIDATES, candidates),
+            (COUNT_DUPLICATES, candidates - fetched),
+            (COUNT_SEGMENT_FETCHES, fetched),
+            (COUNT_RESULTS, results),
+        ):
+            if n:
+                self.count(name, n)
 
     def count(self, name: str, n: int = 1) -> None:
         self.counts[name] = self.counts.get(name, 0) + n

@@ -671,7 +671,6 @@ class QueryEngine:
                 self.index.insert(seg_id)
         self._commit_barrier()
         self.cache.invalidate_all()
-        self.backend.invalidate()
         return seg_id
 
     def insert(self, seg_id: int, session: Optional[QuerySession] = None) -> None:
@@ -691,7 +690,6 @@ class QueryEngine:
         with self._attributed(session):
             self.index.insert(seg_id)
         self.cache.invalidate_all()
-        self.backend.invalidate()
 
     def delete(self, seg_id: int, session: Optional[QuerySession] = None) -> None:
         """Unindex a segment, invalidating the cache.
@@ -720,7 +718,6 @@ class QueryEngine:
                 self.index.delete(seg_id)
         self._commit_barrier()
         self.cache.invalidate_all()
-        self.backend.invalidate()
         return True
 
     def checkpoint(self, session: Optional[QuerySession] = None, _crash_point=None):

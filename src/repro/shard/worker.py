@@ -82,7 +82,6 @@ class ShardEngine(QueryEngine):
                     self.index.insert(seg_id)
         self._commit_barrier()
         self.cache.invalidate_all()
-        self.backend.invalidate()
         return seg_id
 
     def _apply_delete(
@@ -106,7 +105,6 @@ class ShardEngine(QueryEngine):
                     deleted = False  # not locally indexed: a peer owns it
         self._commit_barrier()
         self.cache.invalidate_all()
-        self.backend.invalidate()
         return deleted
 
     def stats(self) -> dict:

@@ -43,6 +43,10 @@ class BufferPool:
         self.counters = counters if counters is not None else MetricsCounters()
         self._policy = policy if policy is not None else LRUPolicy()
         self._frames: Dict[int, _Frame] = {}
+        #: Bumped by every page mutation (create, mark_dirty, put, drop).
+        #: Derived views of page contents -- the vector backend's node
+        #: mirrors -- compare it to know they are stale.
+        self.epoch = 0
 
     # ------------------------------------------------------------------
     # Core protocol
@@ -125,6 +129,7 @@ class BufferPool:
 
     def create(self, payload: Any) -> int:
         """Allocate a new page born dirty in the pool (no read charged)."""
+        self.epoch += 1
         page_id = self.disk.allocate(payload)
         self._admit(page_id, payload, dirty=True)
         return page_id
@@ -135,6 +140,7 @@ class BufferPool:
         The page is faulted in first if it is not resident, since mutating
         a page requires reading it.
         """
+        self.epoch += 1
         frame = self._frames.get(page_id)
         if frame is None:
             self.get(page_id)
@@ -143,6 +149,7 @@ class BufferPool:
 
     def put(self, page_id: int, payload: Any) -> None:
         """Replace a page's payload entirely (faulting it in if absent)."""
+        self.epoch += 1
         frame = self._frames.get(page_id)
         if frame is not None:
             self.counters.buffer_hits += 1
@@ -156,6 +163,7 @@ class BufferPool:
 
     def drop(self, page_id: int) -> None:
         """Discard a page from the pool without write-back (page freed)."""
+        self.epoch += 1
         self._frames.pop(page_id, None)
         self._policy.remove(page_id)
 

@@ -5,6 +5,11 @@ deletes, and all five queries against *all* structures at once (each with
 its own storage stack) and a brute-force reference. Any divergence --
 wrong results, violated invariants, crashes -- falsifies with a minimal
 operation sequence.
+
+Both traversal backends run the suite. Each index gets one backend
+instance for its whole operation sequence and nobody invalidates it by
+hand, as in a library caller's code: a vector backend must notice the
+index's mutations on its own.
 """
 
 from __future__ import annotations
@@ -15,12 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.queries import (
-    enclosing_polygon,
-    nearest_segment,
-    segments_at_point,
-    window_query,
-)
+from repro.core.backends import BACKEND_NAMES, resolve_backend
+from repro.core.queries import QuerySpec
 from repro.geometry import Point, Rect
 from repro.storage import StorageContext
 
@@ -32,19 +33,20 @@ from tests.conftest import (
 )
 
 
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
 @settings(deadline=None, max_examples=12)
 @given(st.integers(0, 100_000))
-def test_differential_operations(seed):
+def test_differential_operations(backend, seed):
     rng = random.Random(seed)
     segments = random_planar_segments(rng, n_cells=5)
 
-    # One shared segment-table content, one stack per structure.
+    # One shared segment-table content, one stack and backend per structure.
     stacks = {}
     for kind in ALL_STRUCTURES:
         ctx = StorageContext.create()
         idx = make_index(kind, ctx)
         ids = ctx.load_segments(segments)
-        stacks[kind] = (idx, ids)
+        stacks[kind] = (idx, ids, resolve_backend(backend))
 
     alive: set = set()
     pending = list(range(len(segments)))
@@ -58,8 +60,8 @@ def test_differential_operations(seed):
             expected = {
                 i for i in alive if segments[i].has_endpoint(p)
             }
-            for kind, (idx, ids) in stacks.items():
-                got = set(segments_at_point(idx, p))
+            for kind, (idx, ids, be) in stacks.items():
+                got = set(be.run(idx, QuerySpec.point(p)))
                 assert got == {ids[i] for i in expected}, (kind, p)
 
         # Q5 over a random window.
@@ -68,16 +70,16 @@ def test_differential_operations(seed):
         expected_w = {
             i for i in alive if segments[i].intersects_rect(w)
         }
-        for kind, (idx, ids) in stacks.items():
-            got = set(window_query(idx, w))
+        for kind, (idx, ids, be) in stacks.items():
+            got = set(be.run(idx, QuerySpec.window(w)))
             assert got == {ids[i] for i in expected_w}, (kind, w)
 
         # Q3 from a random point.
         if alive:
             q = Point(rng.randint(0, TEST_WORLD - 1), rng.randint(0, TEST_WORLD - 1))
             best = min(segments[i].distance2_to_point(q) for i in alive)
-            for kind, (idx, ids) in stacks.items():
-                sid, d2 = nearest_segment(idx, q)
+            for kind, (idx, ids, be) in stacks.items():
+                [(sid, d2)] = be.run(idx, QuerySpec.nearest(q))
                 assert d2 == pytest.approx(best), (kind, q)
 
     ops = 0
@@ -86,26 +88,28 @@ def test_differential_operations(seed):
         roll = rng.random()
         if pending and (roll < 0.6 or not alive):
             i = pending.pop()
-            for kind, (idx, ids) in stacks.items():
+            for idx, ids, _ in stacks.values():
                 idx.insert(ids[i])
             alive.add(i)
         elif alive and roll < 0.8:
             i = rng.choice(sorted(alive))
-            for kind, (idx, ids) in stacks.items():
+            for idx, ids, _ in stacks.values():
                 idx.delete(ids[i])
             alive.discard(i)
         else:
             check_agreement()
 
     check_agreement()
-    for kind, (idx, _) in stacks.items():
+    for idx, _, _ in stacks.values():
         idx.check_invariants()
 
 
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
 @settings(deadline=None, max_examples=6)
 @given(st.integers(0, 100_000))
-def test_differential_polygon_walks(seed):
+def test_differential_polygon_walks(backend, seed):
     """The polygon walk must agree across structures on full maps."""
+    be = resolve_backend(backend)
     rng = random.Random(seed)
     segments = random_planar_segments(rng, n_cells=5)
     stacks = {}
@@ -120,6 +124,6 @@ def test_differential_polygon_walks(seed):
         p = Point(rng.randint(100, 900), rng.randint(100, 900))
         outcomes = set()
         for kind, idx in stacks.items():
-            r = enclosing_polygon(idx, p)
+            r = be.run(idx, QuerySpec.polygon(p))
             outcomes.add((frozenset(r.seg_ids), r.is_outer, r.size))
         assert len(outcomes) == 1, (p, outcomes)

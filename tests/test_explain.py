@@ -1,10 +1,10 @@
 """EXPLAIN: exact per-level attribution, goldens, and invariance.
 
-The headline property is *exactness by construction*: the profiled
-traversal paths perform identical pool traffic and counter charges, in
-identical order, as the plain paths -- so summing a profile's buckets
-reproduces the engine's counters to the unit, and an explained query
-costs exactly what the plain query would have.
+The headline property is *exactness by construction*: an explained
+query runs the same traversal loop as a plain one, with the profile
+only reading the counters around each unit of work -- so summing a
+profile's buckets reproduces the engine's counters to the unit, and an
+explained query costs exactly what the plain query would have.
 """
 
 import random

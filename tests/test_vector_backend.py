@@ -11,12 +11,15 @@ the two backends never share buffer-pool state.
 
 from __future__ import annotations
 
+import gc
+import random
+
 import pytest
 
 from repro.core.backends import SCALAR_BACKEND, ScalarBackend, resolve_backend
 from repro.core.queries.spec import QuerySpec
 from repro.core.vector import HAVE_NUMPY, VectorBackend
-from repro.geometry import Point, Rect
+from repro.geometry import Point, Rect, Segment
 from repro.service.api import BatchRequest, Explain, PointQuery, WindowQuery
 from repro.service.engine import QueryEngine
 
@@ -131,6 +134,46 @@ class TestSingleQueryParity:
         assert any(
             sid == len(SEGS) for sid in got_v
         ), "freshly inserted segment must be visible post-invalidate"
+
+
+@needs_numpy
+class TestMirrorFreshness:
+    """A backend used directly on an index (no engine, no manual
+    ``invalidate()``) must see every mutation of that index."""
+
+    @pytest.mark.parametrize("kind", ["R", "R*", "R+", "PMR"])
+    def test_inserts_and_deletes_visible_without_invalidate(self, kind):
+        rng = random.Random(1992)
+        idx_s, idx_v = _twin(kind)
+        vec = resolve_backend("vector")
+        for _ in range(40):  # mirror every node the windows reach
+            x, y = rng.randint(0, 900), rng.randint(0, 900)
+            vec.run(idx_v, QuerySpec.window(Rect(x, y, x + 120, y + 120)))
+        live = []
+        for step in range(150):
+            x, y = rng.randint(20, 960), rng.randint(20, 960)
+            seg = Segment(x, y, x + rng.randint(1, 40), y + rng.randint(1, 40))
+            for idx in (idx_s, idx_v):
+                seg_id = idx.ctx.segments.append(seg)
+                idx.insert(seg_id)
+            live.append(seg_id)
+            if step % 3 == 2:
+                gone = live.pop(rng.randrange(len(live)))
+                for idx in (idx_s, idx_v):
+                    idx.delete(gone)
+            spec = QuerySpec.window(Rect(x - 5, y - 5, x + 45, y + 45))
+            got = vec.run(idx_v, spec)
+            assert got == SCALAR_BACKEND.run(idx_s, spec), (kind, step)
+            assert (seg_id in got) == (seg_id in live), (kind, step)
+
+    def test_mirrors_are_dropped_with_their_index(self):
+        vec = resolve_backend("vector")
+        idx = build_index("R*", SEGS)
+        vec.run(idx, QuerySpec.window(Rect(0, 0, 1024, 1024)))
+        assert vec.describe()["mirror_nodes"] > 0
+        del idx
+        gc.collect()
+        assert vec.describe()["mirror_nodes"] == 0
 
 
 @needs_numpy
